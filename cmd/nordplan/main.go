@@ -1,4 +1,4 @@
-// Command nordplan runs the offline Floyd-Warshall planner of Section 4.4:
+// Command nordplan runs the offline planner of Section 4.4:
 // it prints the Figure 6 trade-off curve (average node-to-node distance
 // and per-hop latency versus the number of powered-on routers) and the
 // selected performance-centric router set.
@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -54,19 +55,14 @@ func main() {
 			fmt.Printf("%6d %16.3f %16.3f\n", p.K, p.AvgHops, p.PerHopCycles)
 		}
 	} else {
-		fmt.Printf("%dx%d mesh: exhaustive search infeasible; greedy selection only\n", *width, *height)
+		fmt.Printf("%dx%d %v: exhaustive search infeasible; greedy selection only\n", *width, *height, kind)
 	}
 
 	kk := *k
 	if kk == 0 {
-		kk = 3 * mesh.N() / 8
+		kk = pl.DefaultK()
 	}
-	var set []int
-	if mesh.N() <= 16 {
-		set, err = pl.PerformanceCentric(kk)
-	} else {
-		set, err = pl.GreedySet(kk)
-	}
+	set, err := pl.PerformanceCentric(context.Background(), kk)
 	if err != nil {
 		fail(err)
 	}

@@ -3,10 +3,13 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
 	"nord/internal/noc"
 	"nord/internal/stats"
+	"nord/internal/topology"
 )
 
 // TestRunSyntheticCancelBounded proves cooperative cancellation is
@@ -111,5 +114,73 @@ func TestParallelLoadSweepCanceled(t *testing.T) {
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled in chain, got %v", err)
+	}
+}
+
+// forgetPerfCentric drops a grid's memoised perf-centric set so a test can
+// watch the planner run again.
+func forgetPerfCentric(kind topology.Kind, w, h int) {
+	perfMu.Lock()
+	delete(perfCache, perfKey{kind, w, h})
+	perfMu.Unlock()
+}
+
+// TestPerfCentricSingleFlight starts 8 concurrent callers on one cold grid:
+// exactly one planner run may serve them all.
+func TestPerfCentricSingleFlight(t *testing.T) {
+	const callers = 8
+	forgetPerfCentric(topology.KindMesh, 8, 6)
+	before := perfPlans.Load()
+	start := make(chan struct{})
+	sets := make([][]int, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			sets[i], errs[i] = PerfCentricSetOn(topology.KindMesh, 8, 6)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if runs := perfPlans.Load() - before; runs != 1 {
+		t.Errorf("%d planner runs for %d concurrent callers, want 1", runs, callers)
+	}
+	for i := range callers {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if fmt.Sprint(sets[i]) != fmt.Sprint(sets[0]) {
+			t.Errorf("caller %d got %v, caller 0 %v", i, sets[i], sets[0])
+		}
+	}
+}
+
+// TestPerfCentricCancelNotMemoised cancels a NoRD run during setup: the
+// run fails with context.Canceled, and the next caller plans afresh
+// instead of receiving the canceled result.
+func TestPerfCentricCancelNotMemoised(t *testing.T) {
+	forgetPerfCentric(topology.KindMesh, 6, 6)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := RunSyntheticCtx(ctx, SynthConfig{
+		Design: noc.NoRD, Width: 6, Height: 6,
+		Pattern: "uniform", Rate: 0.05, Warmup: 100, Measure: 100, Seed: 1,
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	before := perfPlans.Load()
+	set, err := PerfCentricSetOn(topology.KindMesh, 6, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(set) != 3*36/8 {
+		t.Errorf("set %v, want %d routers", set, 3*36/8)
+	}
+	if runs := perfPlans.Load() - before; runs != 1 {
+		t.Errorf("%d planner runs after a canceled one, want 1", runs)
 	}
 }

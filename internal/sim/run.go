@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"nord/internal/fault"
 	"nord/internal/flit"
@@ -179,8 +180,22 @@ func (c SynthConfig) Filled() SynthConfig {
 	return c
 }
 
-// perfCache memoises performance-centric router sets per topology+size.
-var perfCache sync.Map // perfKey -> []int
+// perfEntry is one grid's memoised performance-centric set; done closes
+// when the planner run that fills it returns.
+type perfEntry struct {
+	done chan struct{}
+	set  []int
+	err  error
+}
+
+var (
+	// perfCache memoises performance-centric router sets per
+	// topology+size, one planner run per key however many callers wait.
+	perfMu    sync.Mutex
+	perfCache = map[perfKey]*perfEntry{}
+	// perfPlans counts planner runs.
+	perfPlans atomic.Int64
+)
 
 type perfKey struct {
 	kind topology.Kind
@@ -200,10 +215,46 @@ func PerfCentricSet(w, h int) ([]int, error) {
 // cost on the actual topology, so torus wrap links shorten the detours
 // it optimises against.
 func PerfCentricSetOn(kind topology.Kind, w, h int) ([]int, error) {
+	return perfCentricSet(context.Background(), kind, w, h)
+}
+
+// perfCentricSet is PerfCentricSetOn under ctx. Concurrent callers for one
+// grid share a single planner run. A failed or canceled run is not
+// memoised: its waiters retry under their own contexts.
+func perfCentricSet(ctx context.Context, kind topology.Kind, w, h int) ([]int, error) {
 	key := perfKey{kind, w, h}
-	if v, ok := perfCache.Load(key); ok {
-		return v.([]int), nil
+	for {
+		perfMu.Lock()
+		e, ok := perfCache[key]
+		if !ok {
+			e = &perfEntry{done: make(chan struct{})}
+			perfCache[key] = e
+		}
+		perfMu.Unlock()
+		if !ok {
+			e.set, e.err = planPerfCentric(ctx, kind, w, h)
+			if e.err != nil {
+				perfMu.Lock()
+				delete(perfCache, key)
+				perfMu.Unlock()
+			}
+			close(e.done)
+			return e.set, e.err
+		}
+		select {
+		case <-e.done:
+			if e.err == nil {
+				return e.set, nil
+			}
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
+}
+
+// planPerfCentric runs the planner for one grid.
+func planPerfCentric(ctx context.Context, kind topology.Kind, w, h int) ([]int, error) {
+	perfPlans.Add(1)
 	topo, err := topology.New(kind, w, h)
 	if err != nil {
 		return nil, err
@@ -213,21 +264,11 @@ func PerfCentricSetOn(kind topology.Kind, w, h int) ([]int, error) {
 		return nil, err
 	}
 	pl := topology.NewPlanner(topo, ring)
-	var set []int
-	if topo.N() <= 16 {
-		set, err = pl.PerformanceCentric(6 * topo.N() / 16)
-	} else {
-		set, err = pl.GreedySet(3 * topo.N() / 8)
-	}
-	if err != nil {
-		return nil, err
-	}
-	perfCache.Store(key, set)
-	return set, nil
+	return pl.PerformanceCentric(ctx, pl.DefaultK())
 }
 
 // buildParams assembles noc parameters from a synthetic config.
-func (c *SynthConfig) buildParams(classes int) (noc.Params, error) {
+func (c *SynthConfig) buildParams(ctx context.Context, classes int) (noc.Params, error) {
 	p := noc.DefaultParams(c.Design)
 	p.Width, p.Height = c.Width, c.Height
 	p.Classes = classes
@@ -267,7 +308,7 @@ func (c *SynthConfig) buildParams(classes int) (noc.Params, error) {
 		p.EarlyWakeupCycles = 1
 	}
 	if c.Design == noc.NoRD && !c.NoPerfCentric && !c.ForcedOff {
-		set, err := PerfCentricSetOn(kind, c.Width, c.Height)
+		set, err := perfCentricSet(ctx, kind, c.Width, c.Height)
 		if err != nil {
 			return p, err
 		}
@@ -302,7 +343,7 @@ func RunSyntheticOpts(ctx context.Context, c SynthConfig, opt RunOptions) (Resul
 		ctx = context.Background()
 	}
 	c.fill()
-	params, err := c.buildParams(1)
+	params, err := c.buildParams(ctx, 1)
 	if err != nil {
 		return Result{}, err
 	}
@@ -451,7 +492,7 @@ func RunWorkloadOpts(ctx context.Context, c WorkloadConfig, opt RunOptions) (Res
 		Tech:          c.Tech,
 	}
 	sc.fill()
-	params, err := sc.buildParams(flit.NumClasses)
+	params, err := sc.buildParams(ctx, flit.NumClasses)
 	if err != nil {
 		return Result{}, err
 	}
@@ -581,7 +622,7 @@ func ReplayTraceOpts(ctx context.Context, c TraceConfig, tr *trace.Trace, opt Ru
 	}
 	sc.Width, sc.Height = side, side
 	sc.fill()
-	params, err := sc.buildParams(flit.NumClasses)
+	params, err := sc.buildParams(ctx, flit.NumClasses)
 	if err != nil {
 		return Result{}, err
 	}
@@ -649,7 +690,7 @@ func RecordWorkloadTrace(c WorkloadConfig) (*trace.Trace, Result, error) {
 	}
 	sc := SynthConfig{Design: c.Design, WakeupLatency: c.WakeupLatency, NoPerfCentric: c.NoPerfCentric, Tech: c.Tech}
 	sc.fill()
-	params, err := sc.buildParams(flit.NumClasses)
+	params, err := sc.buildParams(context.Background(), flit.NumClasses)
 	if err != nil {
 		return nil, Result{}, err
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strconv"
@@ -27,7 +28,7 @@ func PowerTimeSeries(c SynthConfig, period int) ([]PowerSample, error) {
 	if period < 1 {
 		return nil, fmt.Errorf("sim: sample period must be positive, got %d", period)
 	}
-	params, err := c.buildParams(1)
+	params, err := c.buildParams(context.Background(), 1)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +139,7 @@ func WatchStates(c SynthConfig, period, frames int, w io.Writer) error {
 	if period < 1 || frames < 1 {
 		return fmt.Errorf("sim: watch needs positive period and frame count")
 	}
-	params, err := c.buildParams(1)
+	params, err := c.buildParams(context.Background(), 1)
 	if err != nil {
 		return err
 	}

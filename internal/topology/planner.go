@@ -1,17 +1,21 @@
 package topology
 
 import (
+	"context"
+	"errors"
 	"fmt"
-	"math"
 	"math/bits"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // Planner implements the offline program of Section 4.4: given a topology, its
 // bypass ring, and a candidate set of powered-on routers, it evaluates the
 // best achievable average node-to-node distance (hops) and average per-hop
-// latency (cycles) using Floyd-Warshall all-pairs shortest paths
-// (Figure 6), and searches for the performance-centric router set.
+// latency (cycles) over all-pairs min-cycle paths (Figure 6), and searches
+// for the performance-centric router set.
 //
 // Edge admissibility mirrors NoRD connectivity: a link u->v is usable iff
 //   - v is powered on (flit enters v's normal pipeline), or
@@ -22,6 +26,11 @@ import (
 // Traversing a powered-on router costs PipeOnCycles per hop; bypassing a
 // powered-off router costs PipeBypassCycles (2-cycle bypass + 1 LT versus
 // the 4-stage pipeline + 1 LT, Section 6.8).
+//
+// The hop count of a pair is that of the min-cycle path the paper's
+// Floyd–Warshall program keeps, which is not always a min-hop path among
+// the min-cycle ones; the per-source evaluator reproduces it exactly (see
+// DESIGN.md, "Perf-centric planner").
 type Planner struct {
 	Topo Topology
 	Ring *Ring
@@ -38,95 +47,288 @@ func NewPlanner(t Topology, r *Ring) *Planner {
 	return &Planner{Topo: t, Ring: r, PipeOnCycles: 5, PipeBypassCycles: 3}
 }
 
+// exhaustiveMaxNodes is the largest network whose best on-set per K is
+// found by enumerating every on-set; larger ones use greedy selection.
+const exhaustiveMaxNodes = 16
+
+// DefaultK is the size of the performance-centric class the simulator
+// uses: 3N/8 routers, the paper's 6 of 16.
+func (p *Planner) DefaultK() int { return 3 * p.Topo.N() / 8 }
+
+// totals is an on-set's score: hop counts and cycle latencies summed over
+// every ordered node pair. Candidates compare on it as integers; the
+// averages Eval reports divide by a pair count that is fixed per network,
+// so the order is the same.
+type totals struct{ hops, cycles int64 }
+
+// less orders totals as the planner prefers them: fewer hops, then fewer
+// cycles.
+func (a totals) less(b totals) bool {
+	return a.hops < b.hops || (a.hops == b.hops && a.cycles < b.cycles)
+}
+
+// averages converts totals to the average distance and per-hop latency.
+func (p *Planner) averages(t totals) (avgHops, perHopCycles float64) {
+	n := p.Topo.N()
+	return float64(t.hops) / float64(n*(n-1)), float64(t.cycles) / float64(t.hops)
+}
+
 // Eval computes the average node-to-node distance in hops and the average
 // per-hop latency in cycles over all ordered node pairs, given the set of
 // powered-on routers. It returns an error only if some pair is unreachable,
 // which cannot happen for a valid ring (the ring connects everything).
 func (p *Planner) Eval(on []bool) (avgHops, perHopCycles float64, err error) {
-	n := p.Topo.N()
-	if len(on) != n {
+	if n := p.Topo.N(); len(on) != n {
 		return 0, 0, fmt.Errorf("topology: on-set has %d entries, topology has %d nodes", len(on), n)
 	}
-	const inf = math.MaxInt32
-	// cost[u][v]: cycles; hop[u][v]: hops along the min-cycle path.
-	cost := make([][]int32, n)
-	hops := make([][]int32, n)
-	for u := 0; u < n; u++ {
-		cost[u] = make([]int32, n)
-		hops[u] = make([]int32, n)
-		for v := 0; v < n; v++ {
-			if u != v {
-				cost[u][v] = inf
-			}
-		}
+	t, err := p.newEvaluator().eval(on)
+	if err != nil {
+		return 0, 0, err
 	}
-	edge := func(u, v int) {
-		var c int32
-		if on[v] {
-			c = int32(p.PipeOnCycles)
-		} else {
-			if p.Ring.Pred(v) != u {
-				return // off router accepts flits only on its Bypass Inport
-			}
-			c = int32(p.PipeBypassCycles)
-		}
-		if c < cost[u][v] {
-			cost[u][v] = c
-			hops[u][v] = 1
-		}
-	}
-	for u := 0; u < n; u++ {
-		if on[u] {
-			for d := East; d < Local; d++ {
-				if v, ok := p.Topo.Neighbor(u, d); ok {
-					edge(u, v)
-				}
-			}
-		} else {
-			// A gated-off router can only emit on its Bypass Outport.
-			edge(u, p.Ring.Succ(u))
-		}
-	}
-	for k := 0; k < n; k++ {
-		ck := cost[k]
-		hk := hops[k]
-		for u := 0; u < n; u++ {
-			cuk := cost[u][k]
-			if cuk == inf {
-				continue
-			}
-			cu := cost[u]
-			hu := hops[u]
-			huk := hu[k]
-			for v := 0; v < n; v++ {
-				if ck[v] == inf {
-					continue
-				}
-				if nc := cuk + ck[v]; nc < cu[v] {
-					cu[v] = nc
-					hu[v] = huk + hk[v]
-				}
-			}
-		}
-	}
-	var totalHops, totalCycles int64
-	pairs := 0
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			if u == v {
-				continue
-			}
-			if cost[u][v] == inf {
-				return 0, 0, fmt.Errorf("topology: node %d unreachable from %d", v, u)
-			}
-			totalCycles += int64(cost[u][v])
-			totalHops += int64(hops[u][v])
-			pairs++
-		}
-	}
-	avgHops = float64(totalHops) / float64(pairs)
-	perHopCycles = float64(totalCycles) / float64(totalHops)
+	avgHops, perHopCycles = p.averages(t)
 	return avgHops, perHopCycles, nil
+}
+
+// evaluator is one worker's reusable scratch for scoring on-sets. Row s of
+// each n×n table holds the pairs (s, v).
+type evaluator struct {
+	p     *Planner
+	n     int
+	on    []bool
+	nbr   []int32     // 4 neighbours per node, -1 where the port is unwired
+	start []int32     // usable links of the current on-set, CSR by source
+	links []int32     // target<<1 | cost class (0 on, 1 bypass)
+	dist  []int32     // cycles of the min-cycle path
+	via   []int32     // k*: least possible largest intermediate node, -1 for the direct link
+	hops  []int32     // hops of the path Floyd–Warshall keeps
+	order []int32     // pair indices by ascending distance
+	count []int32     // distance histogram for the counting sort
+	queue [2][]uint64 // per cost class: distance<<32 | node
+}
+
+func (p *Planner) newEvaluator() *evaluator {
+	n := p.Topo.N()
+	e := &evaluator{
+		p:     p,
+		n:     n,
+		on:    make([]bool, n),
+		nbr:   make([]int32, 4*n),
+		start: make([]int32, n+1),
+		links: make([]int32, 0, 4*n),
+		dist:  make([]int32, n*n),
+		via:   make([]int32, n*n),
+		hops:  make([]int32, n*n),
+		order: make([]int32, n*n),
+	}
+	for u := 0; u < n; u++ {
+		for d := East; d < Local; d++ {
+			v, ok := p.Topo.Neighbor(u, d)
+			if !ok {
+				v = -1
+			}
+			e.nbr[4*u+int(d)] = int32(v)
+		}
+	}
+	return e
+}
+
+var errCosts = errors.New("topology: planner per-hop cycle costs must be positive")
+
+// eval scores an on-set. It gives the same totals as Floyd–Warshall with a
+// strict "<" update, whose hop count for (u, v) is that of the path found
+// at the earliest stage k reaching the final distance: k*(u, v), the least
+// largest intermediate node over all min-cycle u->v paths (-1 when the
+// direct link is one). Then hops(u, v) is 1 for k* = -1 and otherwise
+// hops(u, k*) + hops(k*, v), two pairs strictly closer than (u, v).
+//
+// One shortest-path pass per source finds dist and k*: a node u settled
+// with k*(s, u) offers its successors max(k*(s, u), u) (or -1 from s
+// itself), and an equal-distance relaxation keeps the smaller offer. The
+// hop counts are then resolved over all pairs in ascending distance.
+func (e *evaluator) eval(on []bool) (totals, error) {
+	p, n := e.p, e.n
+	on32, byp32 := int32(p.PipeOnCycles), int32(p.PipeBypassCycles)
+	if on32 < 1 || byp32 < 1 {
+		return totals{}, errCosts
+	}
+
+	// Usable links of this on-set, each as node<<1 | cost class.
+	costs := [2]int32{on32, byp32}
+	e.links = e.links[:0]
+	for u := 0; u < n; u++ {
+		e.start[u] = int32(len(e.links))
+		if !on[u] {
+			// A gated-off router can only emit on its Bypass Outport.
+			v := int32(p.Ring.Succ(u))
+			if on[v] {
+				e.links = append(e.links, v<<1)
+			} else {
+				e.links = append(e.links, v<<1|1)
+			}
+			continue
+		}
+		for _, v := range e.nbr[4*u : 4*u+4] {
+			switch {
+			case v < 0:
+			case on[v]:
+				e.links = append(e.links, v<<1)
+			case p.Ring.Pred(int(v)) == u:
+				// An off router accepts flits only on its Bypass Inport.
+				e.links = append(e.links, v<<1|1)
+			}
+		}
+	}
+	e.start[n] = int32(len(e.links))
+
+	// Distances and k* from every source, by Dial's algorithm with one
+	// FIFO of (distance, node) offers per link cost: nodes settle in
+	// distance order, so each FIFO stays sorted and the lower head is
+	// always the next to settle.
+	const inf = int32(1<<31 - 1)
+	var t totals
+	var maxDist int32
+	q0, q1 := e.queue[0], e.queue[1]
+	for s := 0; s < n; s++ {
+		dist, via := e.dist[s*n:(s+1)*n], e.via[s*n:(s+1)*n]
+		for v := range dist {
+			dist[v] = inf
+		}
+		dist[s], via[s] = 0, -1
+		q0, q1 = append(q0[:0], uint64(s)), q1[:0]
+		settled := 0
+	settle:
+		for h0, h1 := 0, 0; ; {
+			var x uint64
+			switch {
+			case h0 < len(q0) && (h1 == len(q1) || q0[h0] <= q1[h1]):
+				x = q0[h0]
+				h0++
+			case h1 < len(q1):
+				x = q1[h1]
+				h1++
+			default:
+				break settle
+			}
+			u, d := int32(x), int32(x>>32)
+			if dist[u] != d {
+				continue // superseded by a shorter path
+			}
+			settled++
+			t.cycles += int64(d)
+			maxDist = max(maxDist, d)
+			m := via[u]
+			if int(u) != s && u > m {
+				m = u
+			}
+			for _, l := range e.links[e.start[u]:e.start[u+1]] {
+				v, nd := l>>1, d+costs[l&1]
+				if nd < dist[v] {
+					dist[v], via[v] = nd, m
+					if x := uint64(nd)<<32 | uint64(v); l&1 == 0 {
+						q0 = append(q0, x)
+					} else {
+						q1 = append(q1, x)
+					}
+				} else if nd == dist[v] && m < via[v] {
+					via[v] = m
+				}
+			}
+		}
+		if settled < n {
+			for v := range dist {
+				if dist[v] == inf {
+					return totals{}, fmt.Errorf("topology: node %d unreachable from %d", v, s)
+				}
+			}
+		}
+	}
+	e.queue = [2][]uint64{q0, q1}
+
+	// Hops, resolved in ascending distance (a stable counting sort).
+	if need := int(maxDist) + 2; cap(e.count) < need {
+		e.count = make([]int32, need)
+	}
+	count := e.count[:maxDist+2]
+	clear(count)
+	for _, d := range e.dist {
+		count[d+1]++
+	}
+	for d := 1; d < len(count); d++ {
+		count[d] += count[d-1]
+	}
+	for i, d := range e.dist {
+		e.order[count[d]] = int32(i)
+		count[d]++
+	}
+	// The first n entries are the diagonal, the only zero distances.
+	for _, i := range e.order[n:] {
+		h := int32(1)
+		if k := e.via[i]; k >= 0 {
+			u, v := int(i)/n, int(i)%n
+			h = e.hops[u*n+int(k)] + e.hops[int(k)*n+v]
+		}
+		e.hops[i] = h
+		t.hops += int64(h)
+	}
+	return t, nil
+}
+
+// evaluators returns one evaluator per worker.
+func (p *Planner) evaluators() []*evaluator {
+	ws := make([]*evaluator, runtime.GOMAXPROCS(0))
+	for i := range ws {
+		ws[i] = p.newEvaluator()
+	}
+	return ws
+}
+
+// best scores candidates 0..m-1 across the workers and returns the one with
+// the lowest (totals, index), so the result is the first-wins choice of a
+// serial scan. fill writes candidate i's on-set into a worker's buffer; ctx
+// is checked before every candidate.
+func best(ctx context.Context, ws []*evaluator, m int, fill func(i int, on []bool)) (int, totals, error) {
+	type result struct {
+		i   int
+		t   totals
+		err error
+	}
+	res := make([]result, min(len(ws), m))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range res {
+		wg.Add(1)
+		go func(e *evaluator, r *result) {
+			defer wg.Done()
+			r.i = -1
+			// Each worker takes indices in increasing order, so a strict
+			// "<" keeps its lowest index among equal totals.
+			for i := int(next.Add(1) - 1); i < m; i = int(next.Add(1) - 1) {
+				if r.err = ctx.Err(); r.err != nil {
+					return
+				}
+				fill(i, e.on)
+				t, err := e.eval(e.on)
+				if err != nil {
+					r.err = err
+					return
+				}
+				if r.i < 0 || t.less(r.t) {
+					r.i, r.t = i, t
+				}
+			}
+		}(ws[w], &res[w])
+	}
+	wg.Wait()
+	b := result{i: -1}
+	for _, r := range res {
+		if r.err != nil {
+			return -1, totals{}, r.err
+		}
+		if r.i >= 0 && (b.i < 0 || r.t.less(b.t) || (r.t == b.t && r.i < b.i)) {
+			b = r
+		}
+	}
+	return b.i, b.t, nil
 }
 
 // TradeoffPoint is one point of the Figure 6 curve: with K routers
@@ -144,120 +346,130 @@ type TradeoffPoint struct {
 // (as the paper's offline program can); for larger networks a greedy
 // forward-selection is used. The returned points are ordered by K.
 func (p *Planner) Tradeoff() ([]TradeoffPoint, error) {
+	ctx := context.Background()
 	n := p.Topo.N()
-	if n <= 16 {
-		return p.tradeoffExhaustive()
-	}
-	return p.tradeoffGreedy()
-}
-
-func (p *Planner) tradeoffExhaustive() ([]TradeoffPoint, error) {
-	n := p.Topo.N()
-	best := make([]TradeoffPoint, n+1)
-	for k := range best {
-		best[k] = TradeoffPoint{K: k, AvgHops: math.Inf(1)}
-	}
-	on := make([]bool, n)
-	for mask := 0; mask < 1<<n; mask++ {
-		k := bits.OnesCount(uint(mask))
-		for v := 0; v < n; v++ {
-			on[v] = mask&(1<<v) != 0
-		}
-		h, c, err := p.Eval(on)
-		if err != nil {
-			return nil, err
-		}
-		if h < best[k].AvgHops || (h == best[k].AvgHops && c < best[k].PerHopCycles) {
-			best[k] = TradeoffPoint{K: k, OnSet: maskToSet(mask), AvgHops: h, PerHopCycles: c}
-		}
-	}
-	return best, nil
-}
-
-func (p *Planner) tradeoffGreedy() ([]TradeoffPoint, error) {
-	n := p.Topo.N()
-	on := make([]bool, n)
-	h, c, err := p.Eval(on)
-	if err != nil {
-		return nil, err
-	}
-	points := []TradeoffPoint{{K: 0, AvgHops: h, PerHopCycles: c}}
-	chosen := make([]int, 0, n)
-	for k := 1; k <= n; k++ {
-		bestV, bestH, bestC := -1, math.Inf(1), math.Inf(1)
-		for v := 0; v < n; v++ {
-			if on[v] {
-				continue
-			}
-			on[v] = true
-			h, c, err := p.Eval(on)
-			on[v] = false
+	ws := p.evaluators()
+	if n <= exhaustiveMaxNodes {
+		points := make([]TradeoffPoint, n+1)
+		for k := range points {
+			mask, t, err := p.exhaustive(ctx, ws, k)
 			if err != nil {
 				return nil, err
 			}
-			if h < bestH || (h == bestH && c < bestC) {
-				bestV, bestH, bestC = v, h, c
-			}
+			h, c := p.averages(t)
+			points[k] = TradeoffPoint{K: k, OnSet: maskToSet(mask), AvgHops: h, PerHopCycles: c}
 		}
-		on[bestV] = true
-		chosen = append(chosen, bestV)
+		return points, nil
+	}
+	t, err := ws[0].eval(make([]bool, n))
+	if err != nil {
+		return nil, err
+	}
+	h, c := p.averages(t)
+	points := []TradeoffPoint{{K: 0, AvgHops: h, PerHopCycles: c}}
+	chosen := make([]int, 0, n)
+	err = p.greedy(ctx, ws, n, func(v int, t totals) {
+		chosen = append(chosen, v)
 		set := append([]int(nil), chosen...)
 		sort.Ints(set)
-		points = append(points, TradeoffPoint{K: k, OnSet: set, AvgHops: bestH, PerHopCycles: bestC})
+		h, c := p.averages(t)
+		points = append(points, TradeoffPoint{K: len(set), OnSet: set, AvgHops: h, PerHopCycles: c})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return points, nil
+}
+
+// exhaustive returns the best on-set of exactly k routers as a bit mask,
+// scanning the masks of popcount k in increasing order (first wins).
+func (p *Planner) exhaustive(ctx context.Context, ws []*evaluator, k int) (uint32, totals, error) {
+	n := p.Topo.N()
+	var masks []uint32
+	// Gosper's hack: the next larger mask with the same popcount.
+	for m := uint32(1)<<k - 1; m < 1<<n; {
+		masks = append(masks, m)
+		if m == 0 {
+			break
+		}
+		c := m & -m
+		r := m + c
+		m = (r^m)>>2/c | r
+	}
+	i, t, err := best(ctx, ws, len(masks), func(i int, on []bool) {
+		for v := range on {
+			on[v] = masks[i]>>v&1 != 0
+		}
+	})
+	if err != nil {
+		return 0, totals{}, err
+	}
+	return masks[i], t, nil
+}
+
+// greedy turns on k routers one at a time, each time the off router whose
+// addition gives the lowest (totals, id), and reports every pick in order.
+func (p *Planner) greedy(ctx context.Context, ws []*evaluator, k int, pick func(v int, t totals)) error {
+	n := p.Topo.N()
+	on := make([]bool, n)
+	cands := make([]int, 0, n)
+	for step := 0; step < k; step++ {
+		cands = cands[:0]
+		for v := range on {
+			if !on[v] {
+				cands = append(cands, v)
+			}
+		}
+		i, t, err := best(ctx, ws, len(cands), func(i int, buf []bool) {
+			copy(buf, on)
+			buf[cands[i]] = true
+		})
+		if err != nil {
+			return err
+		}
+		on[cands[i]] = true
+		pick(cands[i], t)
+	}
+	return nil
 }
 
 // GreedySet grows a performance-centric set of exactly k routers by
 // greedy forward-selection (adding whichever router most reduces the
 // average distance), without evaluating the full trade-off curve. For
 // networks beyond the exhaustive planner's reach this is the practical way
-// to pick the Section 4.4 class.
-func (p *Planner) GreedySet(k int) ([]int, error) {
+// to pick the Section 4.4 class. Each step's candidates are scored in
+// parallel; ctx is checked between candidates and its error returned.
+func (p *Planner) GreedySet(ctx context.Context, k int) ([]int, error) {
 	n := p.Topo.N()
 	if k < 0 || k > n {
 		return nil, fmt.Errorf("topology: greedy set size %d out of range [0,%d]", k, n)
 	}
-	on := make([]bool, n)
 	chosen := make([]int, 0, k)
-	for len(chosen) < k {
-		bestV, bestH, bestC := -1, math.Inf(1), math.Inf(1)
-		for v := 0; v < n; v++ {
-			if on[v] {
-				continue
-			}
-			on[v] = true
-			h, c, err := p.Eval(on)
-			on[v] = false
-			if err != nil {
-				return nil, err
-			}
-			if h < bestH || (h == bestH && c < bestC) {
-				bestV, bestH, bestC = v, h, c
-			}
-		}
-		on[bestV] = true
-		chosen = append(chosen, bestV)
+	if err := p.greedy(ctx, p.evaluators(), k, func(v int, _ totals) { chosen = append(chosen, v) }); err != nil {
+		return nil, err
 	}
 	sort.Ints(chosen)
 	return chosen, nil
 }
 
 // PerformanceCentric selects the K-router performance-centric class for
-// asymmetric wakeup thresholds (Section 4.4). For the paper's 4x4 example
-// K=6 is the knee of the Figure 6 curve.
-func (p *Planner) PerformanceCentric(k int) ([]int, error) {
+// asymmetric wakeup thresholds (Section 4.4): the best K-router on-set by
+// exhaustive search for networks up to 16 nodes, otherwise GreedySet. For
+// the paper's 4x4 example K=6 is the knee of the Figure 6 curve (see
+// DefaultK).
+func (p *Planner) PerformanceCentric(ctx context.Context, k int) ([]int, error) {
 	n := p.Topo.N()
 	if k < 0 || k > n {
 		return nil, fmt.Errorf("topology: performance-centric set size %d out of range [0,%d]", k, n)
 	}
-	pts, err := p.Tradeoff()
+	if n > exhaustiveMaxNodes {
+		return p.GreedySet(ctx, k)
+	}
+	mask, _, err := p.exhaustive(ctx, p.evaluators(), k)
 	if err != nil {
 		return nil, err
 	}
-	set := append([]int(nil), pts[k].OnSet...)
-	sort.Ints(set)
-	return set, nil
+	return maskToSet(mask), nil
 }
 
 // Knee picks the K whose point maximises the distance-reduction per
@@ -273,12 +485,12 @@ func Knee(points []TradeoffPoint, minGain float64) int {
 	return len(points) - 1
 }
 
-func maskToSet(mask int) []int {
+func maskToSet(mask uint32) []int {
 	var out []int
-	for v := 0; mask != 0; v, mask = v+1, mask>>1 {
-		if mask&1 != 0 {
-			out = append(out, v)
-		}
+	for mask != 0 {
+		v := bits.TrailingZeros32(mask)
+		out = append(out, v)
+		mask &^= 1 << v
 	}
 	return out
 }

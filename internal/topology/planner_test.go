@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -91,7 +92,7 @@ func TestPerformanceCentricSix(t *testing.T) {
 	// With 6 routers on, average distance should be close to the all-on
 	// 2.5 hops (the paper reports a large reduction at K=6).
 	p := newPlanner4x4(t)
-	set, err := p.PerformanceCentric(6)
+	set, err := p.PerformanceCentric(context.Background(), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,10 +114,10 @@ func TestPerformanceCentricSix(t *testing.T) {
 
 func TestPerformanceCentricValidation(t *testing.T) {
 	p := newPlanner4x4(t)
-	if _, err := p.PerformanceCentric(-1); err == nil {
+	if _, err := p.PerformanceCentric(context.Background(), -1); err == nil {
 		t.Error("negative K should fail")
 	}
-	if _, err := p.PerformanceCentric(17); err == nil {
+	if _, err := p.PerformanceCentric(context.Background(), 17); err == nil {
 		t.Error("K > N should fail")
 	}
 }
@@ -166,7 +167,7 @@ func TestKnee(t *testing.T) {
 
 func TestGreedySet(t *testing.T) {
 	p := newPlanner4x4(t)
-	set, err := p.GreedySet(6)
+	set, err := p.GreedySet(context.Background(), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestGreedySet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, err := p.PerformanceCentric(6)
+	best, err := p.PerformanceCentric(context.Background(), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,10 +205,10 @@ func TestGreedySet(t *testing.T) {
 	if gh > bh*1.15 {
 		t.Errorf("greedy distance %.3f too far from optimal %.3f", gh, bh)
 	}
-	if _, err := p.GreedySet(-1); err == nil {
+	if _, err := p.GreedySet(context.Background(), -1); err == nil {
 		t.Error("negative K should fail")
 	}
-	if _, err := p.GreedySet(99); err == nil {
+	if _, err := p.GreedySet(context.Background(), 99); err == nil {
 		t.Error("oversized K should fail")
 	}
 }
