@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"nord/internal/noc"
 	"nord/internal/stats"
@@ -182,5 +184,65 @@ func TestPerfCentricCancelNotMemoised(t *testing.T) {
 	}
 	if runs := perfPlans.Load() - before; runs != 1 {
 		t.Errorf("%d planner runs after a canceled one, want 1", runs)
+	}
+}
+
+// TestPerfCentricPanicReleasesMemo makes the memo's leader panic mid-run,
+// as runGuarded lets it in a sweep: the panic must reach the leader's
+// caller, the entry must leave the memo, and a waiter and a later caller
+// must both get the set from a fresh run instead of blocking forever.
+func TestPerfCentricPanicReleasesMemo(t *testing.T) {
+	const w, h = 6, 4
+	forgetPerfCentric(topology.KindMesh, w, h)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	planPerfCentricHook = func(ctx context.Context, kind topology.Kind, w, h int) ([]int, error) {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-release
+			panic("planner bug")
+		}
+		return planPerfCentric(ctx, kind, w, h)
+	}
+	defer func() { planPerfCentricHook = planPerfCentric }()
+
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		_, _ = PerfCentricSetOn(topology.KindMesh, w, h)
+	}()
+	<-entered
+	type result struct {
+		set []int
+		err error
+	}
+	waiter := make(chan result, 1)
+	go func() {
+		set, err := PerfCentricSetOn(topology.KindMesh, w, h)
+		waiter <- result{set, err}
+	}()
+	close(release)
+	if v := <-leader; v != "planner bug" {
+		t.Fatalf("leader recovered %v, want the planner's panic", v)
+	}
+	check := func(name string, r result) {
+		t.Helper()
+		if r.err != nil {
+			t.Fatalf("%s: %v", name, r.err)
+		}
+		if len(r.set) != 3*w*h/8 {
+			t.Errorf("%s: set %v, want %d routers", name, r.set, 3*w*h/8)
+		}
+	}
+	select {
+	case r := <-waiter:
+		check("waiter", r)
+	case <-time.After(30 * time.Second):
+		t.Fatal("waiter still blocked after the leader panicked")
+	}
+	set, err := PerfCentricSetOn(topology.KindMesh, w, h)
+	check("later caller", result{set, err})
+	if n := calls.Load(); n != 2 {
+		t.Errorf("%d planner runs, want 2 (the panicked one and one retry)", n)
 	}
 }

@@ -7,6 +7,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -232,14 +233,7 @@ func perfCentricSet(ctx context.Context, kind topology.Kind, w, h int) ([]int, e
 		}
 		perfMu.Unlock()
 		if !ok {
-			e.set, e.err = planPerfCentric(ctx, kind, w, h)
-			if e.err != nil {
-				perfMu.Lock()
-				delete(perfCache, key)
-				perfMu.Unlock()
-			}
-			close(e.done)
-			return e.set, e.err
+			return e.lead(ctx, key)
 		}
 		select {
 		case <-e.done:
@@ -251,6 +245,29 @@ func perfCentricSet(ctx context.Context, kind topology.Kind, w, h int) ([]int, e
 		}
 	}
 }
+
+// errPlanAborted is a leader's error until its planner run returns, so a
+// run that panics releases its waiters to retry.
+var errPlanAborted = errors.New("sim: perf-centric planner run aborted")
+
+// lead fills e with one planner run for key. The entry is dropped from the
+// memo unless the run succeeds, and done closes even if the run panics.
+func (e *perfEntry) lead(ctx context.Context, key perfKey) ([]int, error) {
+	e.err = errPlanAborted
+	defer func() {
+		if e.err != nil {
+			perfMu.Lock()
+			delete(perfCache, key)
+			perfMu.Unlock()
+		}
+		close(e.done)
+	}()
+	e.set, e.err = planPerfCentricHook(ctx, key.kind, key.w, key.h)
+	return e.set, e.err
+}
+
+// planPerfCentricHook is the planner run behind the memo; tests replace it.
+var planPerfCentricHook = planPerfCentric
 
 // planPerfCentric runs the planner for one grid.
 func planPerfCentric(ctx context.Context, kind topology.Kind, w, h int) ([]int, error) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -104,6 +105,16 @@ type evaluator struct {
 	order []int32     // pair indices by ascending distance
 	count []int32     // distance histogram for the counting sort
 	queue [2][]uint64 // per cost class: distance<<32 | node
+
+	// Scratch of flip, allocated on its first call.
+	rstart []int32  // usable links CSR by target
+	rlinks []int32  // source<<1 | cost class
+	col    []int32  // distances to the flipped router
+	colVia []int32  // k* to the flipped router (unused)
+	mark   []uint32 // gen where the pair is affected in the current flip
+	gen    uint32   // flips so far; a planner run makes far fewer than 2^32
+	pairs  []int32  // affected pair indices
+	seeds  []uint64 // distance<<32 | node offers from unaffected nodes
 }
 
 func (p *Planner) newEvaluator() *evaluator {
@@ -134,32 +145,27 @@ func (p *Planner) newEvaluator() *evaluator {
 
 var errCosts = errors.New("topology: planner per-hop cycle costs must be positive")
 
-// eval scores an on-set. It gives the same totals as Floyd–Warshall with a
-// strict "<" update, whose hop count for (u, v) is that of the path found
-// at the earliest stage k reaching the final distance: k*(u, v), the least
-// largest intermediate node over all min-cycle u->v paths (-1 when the
-// direct link is one). Then hops(u, v) is 1 for k* = -1 and otherwise
-// hops(u, k*) + hops(k*, v), two pairs strictly closer than (u, v).
-//
-// One shortest-path pass per source finds dist and k*: a node u settled
-// with k*(s, u) offers its successors max(k*(s, u), u) (or -1 from s
-// itself), and an equal-distance relaxation keeps the smaller offer. The
-// hop counts are then resolved over all pairs in ascending distance.
-func (e *evaluator) eval(on []bool) (totals, error) {
-	p, n := e.p, e.n
-	on32, byp32 := int32(p.PipeOnCycles), int32(p.PipeBypassCycles)
-	if on32 < 1 || byp32 < 1 {
-		return totals{}, errCosts
-	}
+// inf marks an unreached node.
+const inf = int32(1<<31 - 1)
 
-	// Usable links of this on-set, each as node<<1 | cost class.
-	costs := [2]int32{on32, byp32}
+// costs returns the cycles of a link by cost class.
+func (e *evaluator) costs() ([2]int32, error) {
+	c := [2]int32{int32(e.p.PipeOnCycles), int32(e.p.PipeBypassCycles)}
+	if c[0] < 1 || c[1] < 1 {
+		return c, errCosts
+	}
+	return c, nil
+}
+
+// link lists the usable links of an on-set, each as node<<1 | cost class.
+func (e *evaluator) link(on []bool) {
+	ring := e.p.Ring
 	e.links = e.links[:0]
-	for u := 0; u < n; u++ {
+	for u := range on {
 		e.start[u] = int32(len(e.links))
 		if !on[u] {
 			// A gated-off router can only emit on its Bypass Outport.
-			v := int32(p.Ring.Succ(u))
+			v := int32(ring.Succ(u))
 			if on[v] {
 				e.links = append(e.links, v<<1)
 			} else {
@@ -172,84 +178,97 @@ func (e *evaluator) eval(on []bool) (totals, error) {
 			case v < 0:
 			case on[v]:
 				e.links = append(e.links, v<<1)
-			case p.Ring.Pred(int(v)) == u:
+			case ring.Pred(int(v)) == u:
 				// An off router accepts flits only on its Bypass Inport.
 				e.links = append(e.links, v<<1|1)
 			}
 		}
 	}
-	e.start[n] = int32(len(e.links))
+	e.start[len(on)] = int32(len(e.links))
+}
 
-	// Distances and k* from every source, by Dial's algorithm with one
-	// FIFO of (distance, node) offers per link cost: nodes settle in
-	// distance order, so each FIFO stays sorted and the lower head is
-	// always the next to settle.
-	const inf = int32(1<<31 - 1)
+// dial fills dist and via from s over the links in CSR form (start,
+// links) by Dial's algorithm with one FIFO of (distance, node) offers per
+// link cost: nodes settle in distance order, so each FIFO stays sorted and
+// the lower head is always the next to settle. It returns the sum and
+// maximum of the distances and the number of nodes reached.
+func (e *evaluator) dial(costs [2]int32, start, links []int32, s int, dist, via []int32) (sum int64, maxDist int32, settled int) {
+	for v := range dist {
+		dist[v] = inf
+	}
+	dist[s], via[s] = 0, -1
+	q0, q1 := append(e.queue[0][:0], uint64(s)), e.queue[1][:0]
+	for h0, h1 := 0, 0; ; {
+		var x uint64
+		switch {
+		case h0 < len(q0) && (h1 == len(q1) || q0[h0] <= q1[h1]):
+			x = q0[h0]
+			h0++
+		case h1 < len(q1):
+			x = q1[h1]
+			h1++
+		default:
+			e.queue = [2][]uint64{q0, q1}
+			return sum, maxDist, settled
+		}
+		u, d := int32(x), int32(x>>32)
+		if dist[u] != d {
+			continue // superseded by a shorter path
+		}
+		settled++
+		sum += int64(d)
+		maxDist = max(maxDist, d)
+		m := via[u]
+		if int(u) != s && u > m {
+			m = u
+		}
+		for _, l := range links[start[u]:start[u+1]] {
+			v, nd := l>>1, d+costs[l&1]
+			if nd < dist[v] {
+				dist[v], via[v] = nd, m
+				if x := uint64(nd)<<32 | uint64(v); l&1 == 0 {
+					q0 = append(q0, x)
+				} else {
+					q1 = append(q1, x)
+				}
+			} else if nd == dist[v] && m < via[v] {
+				via[v] = m
+			}
+		}
+	}
+}
+
+// eval scores an on-set. It gives the same totals as Floyd–Warshall with a
+// strict "<" update, whose hop count for (u, v) is that of the path found
+// at the earliest stage k reaching the final distance: k*(u, v), the least
+// largest intermediate node over all min-cycle u->v paths (-1 when the
+// direct link is one). Then hops(u, v) is 1 for k* = -1 and otherwise
+// hops(u, k*) + hops(k*, v), two pairs strictly closer than (u, v).
+//
+// One shortest-path pass per source finds dist and k*: a node u settled
+// with k*(s, u) offers its successors max(k*(s, u), u) (or -1 from s
+// itself), and an equal-distance relaxation keeps the smaller offer. The
+// hop counts are then resolved over all pairs in ascending distance.
+func (e *evaluator) eval(on []bool) (totals, error) {
+	n := e.n
+	costs, err := e.costs()
+	if err != nil {
+		return totals{}, err
+	}
+	e.link(on)
 	var t totals
 	var maxDist int32
-	q0, q1 := e.queue[0], e.queue[1]
 	for s := 0; s < n; s++ {
-		dist, via := e.dist[s*n:(s+1)*n], e.via[s*n:(s+1)*n]
-		for v := range dist {
-			dist[v] = inf
-		}
-		dist[s], via[s] = 0, -1
-		q0, q1 = append(q0[:0], uint64(s)), q1[:0]
-		settled := 0
-	settle:
-		for h0, h1 := 0, 0; ; {
-			var x uint64
-			switch {
-			case h0 < len(q0) && (h1 == len(q1) || q0[h0] <= q1[h1]):
-				x = q0[h0]
-				h0++
-			case h1 < len(q1):
-				x = q1[h1]
-				h1++
-			default:
-				break settle
-			}
-			u, d := int32(x), int32(x>>32)
-			if dist[u] != d {
-				continue // superseded by a shorter path
-			}
-			settled++
-			t.cycles += int64(d)
-			maxDist = max(maxDist, d)
-			m := via[u]
-			if int(u) != s && u > m {
-				m = u
-			}
-			for _, l := range e.links[e.start[u]:e.start[u+1]] {
-				v, nd := l>>1, d+costs[l&1]
-				if nd < dist[v] {
-					dist[v], via[v] = nd, m
-					if x := uint64(nd)<<32 | uint64(v); l&1 == 0 {
-						q0 = append(q0, x)
-					} else {
-						q1 = append(q1, x)
-					}
-				} else if nd == dist[v] && m < via[v] {
-					via[v] = m
-				}
-			}
-		}
+		sum, m, settled := e.dial(costs, e.start, e.links, s, e.dist[s*n:(s+1)*n], e.via[s*n:(s+1)*n])
 		if settled < n {
-			for v := range dist {
-				if dist[v] == inf {
-					return totals{}, fmt.Errorf("topology: node %d unreachable from %d", v, s)
-				}
-			}
+			return totals{}, errUnreachable(slices.Index(e.dist[s*n:(s+1)*n], inf), s)
 		}
+		t.cycles += sum
+		maxDist = max(maxDist, m)
 	}
-	e.queue = [2][]uint64{q0, q1}
 
 	// Hops, resolved in ascending distance (a stable counting sort).
-	if need := int(maxDist) + 2; cap(e.count) < need {
-		e.count = make([]int32, need)
-	}
-	count := e.count[:maxDist+2]
-	clear(count)
+	count := e.histogram(maxDist)
 	for _, d := range e.dist {
 		count[d+1]++
 	}
@@ -273,6 +292,233 @@ func (e *evaluator) eval(on []bool) (totals, error) {
 	return t, nil
 }
 
+// histogram returns a cleared count table for distances up to maxDist,
+// offset by one for the prefix sums of a counting sort.
+func (e *evaluator) histogram(maxDist int32) []int32 {
+	if need := int(maxDist) + 2; cap(e.count) < need {
+		e.count = make([]int32, need)
+	}
+	count := e.count[:maxDist+2]
+	clear(count)
+	return count
+}
+
+// errUnreachable reports a pair with no path, which a valid ring rules
+// out.
+func errUnreachable(v, s int) error {
+	return fmt.Errorf("topology: node %d unreachable from %d", v, s)
+}
+
+// flip scores b's on-set plus router c, which b has off, from b's tables
+// and totals (b must hold eval(b.on)). Only links into and out of c
+// change, so a pair (s, x) can change only if c lies on one of its
+// min-cycle paths before the flip (dB(s,c) + dB(c,x) = dB(s,x)) or on a
+// path after it no longer than before (d'(s,c) + d'(c,x) <= dB(s,x)); row
+// c and column c are always affected. Every other pair keeps its min-cycle
+// paths, hence its dist, k* and hops. The sub-pairs and DAG predecessors
+// of such a pair lie on its min paths, so they are unaffected too, and
+// each row's affected nodes can be solved by Dial seeded from their
+// unaffected in-neighbours (DESIGN.md §15).
+func (e *evaluator) flip(b *evaluator, bt totals, c int) (totals, error) {
+	n := e.n
+	costs, err := e.costs()
+	if err != nil {
+		return totals{}, err
+	}
+	if e.mark == nil {
+		e.rstart = make([]int32, n+1)
+		e.col = make([]int32, n)
+		e.colVia = make([]int32, n)
+		e.mark = make([]uint32, n*n)
+		e.pairs = make([]int32, 0, n*n)
+	}
+	e.gen++
+	gen := e.gen
+	copy(e.on, b.on)
+	e.on[c] = true
+	e.link(e.on)
+	e.reverse()
+
+	// Row c from scratch, then the distances into c over reversed links.
+	rc := e.dist[c*n : (c+1)*n]
+	_, maxDist, settled := e.dial(costs, e.start, e.links, c, rc, e.via[c*n:(c+1)*n])
+	if settled < n {
+		return totals{}, errUnreachable(slices.Index(rc, inf), c)
+	}
+	if _, _, settled := e.dial(costs, e.rstart, e.rlinks, c, e.col, e.colVia); settled < n {
+		return totals{}, errUnreachable(c, slices.Index(e.col, inf))
+	}
+	pairs := e.pairs[:0]
+	for x := range rc {
+		if x != c {
+			e.mark[c*n+x] = gen
+			pairs = append(pairs, int32(c*n+x))
+		}
+	}
+
+	dc := b.dist[c*n : (c+1)*n]
+	q0, q1 := e.queue[0], e.queue[1]
+	for s := 0; s < n; s++ {
+		if s == c {
+			continue
+		}
+		row := s * n
+		bd, bv := b.dist[row:row+n], b.via[row:row+n]
+		dist, via, mark := e.dist[row:row+n], e.via[row:row+n], e.mark[row:row+n]
+		first := len(pairs)
+		dsc, dcs := bd[c], e.col[s]
+		for x, d := range bd {
+			// x = c passes the first test, as dB(c,c) = 0.
+			if dsc+dc[x] == d || dcs+rc[x] <= d {
+				mark[x] = gen
+				pairs = append(pairs, int32(row+x))
+			}
+		}
+
+		// Seed each affected node with its best offer from unaffected
+		// in-neighbours, whose paths are final; s itself is one of them.
+		seeds := e.seeds[:0]
+		for _, i := range pairs[first:] {
+			x := i - int32(row)
+			d, k := inf, int32(0)
+			for _, l := range e.rlinks[e.rstart[x]:e.rstart[x+1]] {
+				u := l >> 1
+				if mark[u] == gen {
+					continue
+				}
+				du, m := bd[u]+costs[l&1], bv[u]
+				if int(u) != s && u > m {
+					m = u
+				}
+				if du < d || du == d && m < k {
+					d, k = du, m
+				}
+			}
+			dist[x], via[x] = d, k
+			if d < inf {
+				seeds = append(seeds, uint64(d)<<32|uint64(x))
+			}
+		}
+		slices.Sort(seeds)
+		e.seeds = seeds
+
+		// Dial over the affected nodes, merging the sorted seeds with the
+		// two cost FIFOs.
+		q0, q1 = q0[:0], q1[:0]
+		settled := 0
+	settle:
+		for h, h0, h1 := 0, 0, 0; ; {
+			var x uint64
+			switch {
+			case h < len(seeds) && (h0 == len(q0) || seeds[h] <= q0[h0]) && (h1 == len(q1) || seeds[h] <= q1[h1]):
+				x = seeds[h]
+				h++
+			case h0 < len(q0) && (h1 == len(q1) || q0[h0] <= q1[h1]):
+				x = q0[h0]
+				h0++
+			case h1 < len(q1):
+				x = q1[h1]
+				h1++
+			default:
+				break settle
+			}
+			u, d := int32(x), int32(x>>32)
+			if dist[u] != d {
+				continue // superseded by a shorter path
+			}
+			settled++
+			maxDist = max(maxDist, d)
+			m := max(via[u], u) // u != s: s is never affected
+			for _, l := range e.links[e.start[u]:e.start[u+1]] {
+				v := l >> 1
+				if mark[v] != gen {
+					continue
+				}
+				if nd := d + costs[l&1]; nd < dist[v] {
+					dist[v], via[v] = nd, m
+					if x := uint64(nd)<<32 | uint64(v); l&1 == 0 {
+						q0 = append(q0, x)
+					} else {
+						q1 = append(q1, x)
+					}
+				} else if nd == dist[v] && m < via[v] {
+					via[v] = m
+				}
+			}
+		}
+		if settled < len(pairs)-first {
+			for _, i := range pairs[first:] {
+				if e.dist[i] == inf {
+					return totals{}, errUnreachable(int(i)-row, s)
+				}
+			}
+		}
+	}
+	e.queue = [2][]uint64{q0, q1}
+	e.pairs = pairs
+
+	// Hops of the affected pairs in ascending new distance; a sub-pair is
+	// either affected and already resolved, or keeps its base hops.
+	count := e.histogram(maxDist)
+	for _, i := range pairs {
+		count[e.dist[i]+1]++
+	}
+	for d := 1; d < len(count); d++ {
+		count[d] += count[d-1]
+	}
+	for _, i := range pairs {
+		d := e.dist[i]
+		e.order[count[d]] = i
+		count[d]++
+	}
+	t := bt
+	for _, i := range e.order[:len(pairs)] {
+		h := int32(1)
+		if k := e.via[i]; k >= 0 {
+			u, v := int(i)/n, int(i)%n
+			h = e.hop(b, u*n+int(k)) + e.hop(b, int(k)*n+v)
+		}
+		e.hops[i] = h
+		t.hops += int64(h - b.hops[i])
+		t.cycles += int64(e.dist[i] - b.dist[i])
+	}
+	return t, nil
+}
+
+// hop returns the hops of pair i during a flip from b.
+func (e *evaluator) hop(b *evaluator, i int) int32 {
+	if e.mark[i] == e.gen {
+		return e.hops[i]
+	}
+	return b.hops[i]
+}
+
+// reverse builds the reversed CSR (rstart, rlinks) of the current links.
+func (e *evaluator) reverse() {
+	n := e.n
+	clear(e.rstart)
+	for _, l := range e.links {
+		e.rstart[l>>1+1]++
+	}
+	for v := 1; v <= n; v++ {
+		e.rstart[v] += e.rstart[v-1]
+	}
+	if cap(e.rlinks) < len(e.links) {
+		e.rlinks = make([]int32, len(e.links), cap(e.links))
+	}
+	e.rlinks = e.rlinks[:len(e.links)]
+	// rstart[v] serves as v's fill cursor, ending at the start of v+1.
+	for u := 0; u < n; u++ {
+		for _, l := range e.links[e.start[u]:e.start[u+1]] {
+			v := l >> 1
+			e.rlinks[e.rstart[v]] = int32(u)<<1 | l&1
+			e.rstart[v]++
+		}
+	}
+	copy(e.rstart[1:], e.rstart[:n])
+	e.rstart[0] = 0
+}
+
 // evaluators returns one evaluator per worker.
 func (p *Planner) evaluators() []*evaluator {
 	ws := make([]*evaluator, runtime.GOMAXPROCS(0))
@@ -284,9 +530,10 @@ func (p *Planner) evaluators() []*evaluator {
 
 // best scores candidates 0..m-1 across the workers and returns the one with
 // the lowest (totals, index), so the result is the first-wins choice of a
-// serial scan. fill writes candidate i's on-set into a worker's buffer; ctx
-// is checked before every candidate.
-func best(ctx context.Context, ws []*evaluator, m int, fill func(i int, on []bool)) (int, totals, error) {
+// serial scan. score rates candidate i on a worker's evaluator; ctx is
+// checked before every candidate, and a panicking score is returned as the
+// step's error.
+func best(ctx context.Context, ws []*evaluator, m int, score func(e *evaluator, i int) (totals, error)) (int, totals, error) {
 	type result struct {
 		i   int
 		t   totals
@@ -299,6 +546,11 @@ func best(ctx context.Context, ws []*evaluator, m int, fill func(i int, on []boo
 		wg.Add(1)
 		go func(e *evaluator, r *result) {
 			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					r.err = fmt.Errorf("topology: planner panicked: %v", v)
+				}
+			}()
 			r.i = -1
 			// Each worker takes indices in increasing order, so a strict
 			// "<" keeps its lowest index among equal totals.
@@ -306,8 +558,7 @@ func best(ctx context.Context, ws []*evaluator, m int, fill func(i int, on []boo
 				if r.err = ctx.Err(); r.err != nil {
 					return
 				}
-				fill(i, e.on)
-				t, err := e.eval(e.on)
+				t, err := score(e, i)
 				if err != nil {
 					r.err = err
 					return
@@ -396,10 +647,11 @@ func (p *Planner) exhaustive(ctx context.Context, ws []*evaluator, k int) (uint3
 		r := m + c
 		m = (r^m)>>2/c | r
 	}
-	i, t, err := best(ctx, ws, len(masks), func(i int, on []bool) {
-		for v := range on {
-			on[v] = masks[i]>>v&1 != 0
+	i, t, err := best(ctx, ws, len(masks), func(e *evaluator, i int) (totals, error) {
+		for v := range e.on {
+			e.on[v] = masks[i]>>v&1 != 0
 		}
+		return e.eval(e.on)
 	})
 	if err != nil {
 		return 0, totals{}, err
@@ -409,20 +661,26 @@ func (p *Planner) exhaustive(ctx context.Context, ws []*evaluator, k int) (uint3
 
 // greedy turns on k routers one at a time, each time the off router whose
 // addition gives the lowest (totals, id), and reports every pick in order.
+// Each step evaluates its base on-set once; the candidates are scored from
+// it by flip.
 func (p *Planner) greedy(ctx context.Context, ws []*evaluator, k int, pick func(v int, t totals)) error {
 	n := p.Topo.N()
-	on := make([]bool, n)
+	base := p.newEvaluator()
+	on := base.on
 	cands := make([]int, 0, n)
 	for step := 0; step < k; step++ {
+		bt, err := base.eval(on)
+		if err != nil {
+			return err
+		}
 		cands = cands[:0]
 		for v := range on {
 			if !on[v] {
 				cands = append(cands, v)
 			}
 		}
-		i, t, err := best(ctx, ws, len(cands), func(i int, buf []bool) {
-			copy(buf, on)
-			buf[cands[i]] = true
+		i, t, err := best(ctx, ws, len(cands), func(e *evaluator, i int) (totals, error) {
+			return e.flip(base, bt, cands[i])
 		})
 		if err != nil {
 			return err

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -140,6 +142,130 @@ func TestEvalOracleCandidates(t *testing.T) {
 			on[bestV] = true
 		}
 		t.Logf("%v %dx%d: %d candidates, %d mismatches", g.kind, g.w, g.h, evals, mismatches)
+	}
+}
+
+// checkFlip scores base.on plus router c both by flip and by a full eval
+// and reports the first difference in totals or in any pair's dist, k* or
+// hops; a pair flip left unaffected must hold the base values. e and full
+// are scratch evaluators.
+func checkFlip(base, e, full *evaluator, bt totals, c int) (totals, error) {
+	got, err := e.flip(base, bt, c)
+	if err != nil {
+		return totals{}, err
+	}
+	on := slices.Clone(base.on)
+	on[c] = true
+	want, err := full.eval(on)
+	if err != nil {
+		return totals{}, err
+	}
+	if got != want {
+		return want, fmt.Errorf("+%d: flip %+v, eval %+v", c, got, want)
+	}
+	for i := range full.dist {
+		t := base
+		if e.mark[i] == e.gen {
+			t = e
+		}
+		if t.dist[i] != full.dist[i] || t.via[i] != full.via[i] || t.hops[i] != full.hops[i] {
+			return want, fmt.Errorf("+%d pair (%d,%d): flip dist/k*/hops %d/%d/%d, eval %d/%d/%d",
+				c, i/e.n, i%e.n, t.dist[i], t.via[i], t.hops[i], full.dist[i], full.via[i], full.hops[i])
+		}
+	}
+	return want, nil
+}
+
+// TestPlannerFlipMatchesEval follows full greedy runs and requires the
+// incremental scorer to match a full eval on every candidate along the
+// way.
+func TestPlannerFlipMatchesEval(t *testing.T) {
+	for _, g := range []struct {
+		kind Kind
+		w, h int
+	}{{KindMesh, 8, 8}, {KindTorus, 8, 8}, {KindCMesh, 8, 8}, {KindMesh, 6, 7}, {KindTorus, 6, 5}, {KindTorus, 7, 7}} {
+		p := newPlannerOn(t, g.kind, g.w, g.h)
+		base, e, full := p.newEvaluator(), p.newEvaluator(), p.newEvaluator()
+		on := base.on
+		cands, mismatches := 0, 0
+		for step := range on {
+			bt, err := base.eval(on)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bestV := -1
+			var bestT totals
+			for c := range on {
+				if on[c] {
+					continue
+				}
+				cands++
+				want, err := checkFlip(base, e, full, bt, c)
+				if err != nil {
+					if mismatches++; mismatches <= 3 {
+						t.Errorf("%v %dx%d step %d %v", g.kind, g.w, g.h, step, err)
+					}
+				}
+				if bestV < 0 || want.less(bestT) {
+					bestV, bestT = c, want
+				}
+			}
+			on[bestV] = true
+		}
+		t.Logf("%v %dx%d: %d candidates, %d mismatches", g.kind, g.w, g.h, cands, mismatches)
+	}
+}
+
+// FuzzPlannerFlip checks the incremental scorer against a full eval and
+// Floyd–Warshall on arbitrary base on-sets and candidates of grids up to
+// 6x6: the grid is (2 + w%5) x (2 + h%5), bit v of mask turns router v
+// on, and router cand%N, forced off in the base, is flipped. The seed
+// corpus is in testdata/fuzz/FuzzPlannerFlip.
+func FuzzPlannerFlip(f *testing.F) {
+	f.Fuzz(func(t *testing.T, kind, w, h uint8, mask uint64, cand uint8) {
+		topo, err := New(Kind(kind%3), 2+int(w%5), 2+int(h%5))
+		if err != nil {
+			t.Skip(err)
+		}
+		r, err := NewRing(topo)
+		if err != nil {
+			t.Skip(err)
+		}
+		p := NewPlanner(topo, r)
+		base := p.newEvaluator()
+		for v := range base.on {
+			base.on[v] = mask>>v&1 != 0
+		}
+		c := int(cand) % len(base.on)
+		base.on[c] = false
+		bt, err := base.eval(base.on)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := checkFlip(base, p.newEvaluator(), p.newEvaluator(), bt, c)
+		if err != nil {
+			t.Fatalf("%v %v base %v: %v", topo.Kind(), topo, base.on, err)
+		}
+		on := slices.Clone(base.on)
+		on[c] = true
+		if fw, err := floydWarshall(p, on); err != nil || fw != want {
+			t.Fatalf("%v %v on %v: eval %+v, Floyd–Warshall %+v (%v)", topo.Kind(), topo, on, want, fw, err)
+		}
+	})
+}
+
+// TestPlannerWorkerPanic makes one candidate's score panic: best must
+// return it as the step's error instead of crashing the process.
+func TestPlannerWorkerPanic(t *testing.T) {
+	p := newPlannerOn(t, KindMesh, 4, 4)
+	_, _, err := best(context.Background(), p.evaluators(), 8, func(e *evaluator, i int) (totals, error) {
+		if i == 3 {
+			panic("score bug")
+		}
+		return totals{hops: int64(i)}, nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "score bug") {
+		t.Fatalf("err = %v, want the candidate's panic", err)
 	}
 }
 
